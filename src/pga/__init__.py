@@ -9,17 +9,7 @@ representations.  All algebraic statements are verified in exact cyclotomic
 arithmetic; floats appear only where time evolution makes them unavoidable.
 """
 
-from .qarith import (
-    CycloContext,
-    CycloElement,
-    cyclotomic_polynomial,
-    embed,
-    make_context,
-    q_factorial,
-    q_half_power,
-    q_number,
-    q_quarter_power,
-)
+from .qarith import CycloContext, CycloElement, cyclotomic_polynomial, make_context
 from .opmatrix import OpMatrix
 from .single_mode import (
     SingleModeRep,
@@ -32,7 +22,6 @@ from .single_mode import (
 from .multimode import (
     MultiModeRep,
     PGAlgebra,
-    PGMonomial,
     PGPolynomial,
     all_passed,
     build_multimode,
@@ -44,7 +33,6 @@ from .integration import (
     CoeffMatrix,
     IntegralNormalization,
     berezin,
-    convolve,
     convolve_via_integral,
     default_normalization,
     derivative_action,
@@ -60,16 +48,15 @@ from .integration import (
 )
 from .potts import (
     PottsInstance,
-    TransferCoefficients,
     delta_expansion_check,
     transfer_matrix,
+    transfer_weights,
     z_bruteforce,
     z_closed,
     z_paragrassmann,
     z_transfer,
 )
 from .dynamics import (
-    CoherentConfig,
     PGHamiltonian,
     build_hamiltonian,
     coherent_state_check,

@@ -34,13 +34,6 @@ from .single_mode import SingleModeRep, build_rep
 from . import errors
 
 
-@dataclass(frozen=True)
-class CoherentConfig:
-    """Grading constant xi in the operator/number commutation rules."""
-
-    xi: int = 1
-
-
 @dataclass
 class PGHamiltonian:
     ctx: CycloContext
@@ -152,7 +145,7 @@ def compose_steps_via_integral(ham: PGHamiltonian, delta: float, sign: int = 1) 
     return out
 
 
-def hermiticity_check(ham: PGHamiltonian, tol: float = 1e-12) -> dict:
+def hermiticity_check(ham: PGHamiltonian, tol: float = 1e-12) -> list[dict]:
     """Compare H against its ladder-conjugation adjoint in embedded arithmetic.
 
     The adjoint is the metric-twisted conjugate transpose fixed by the
@@ -168,20 +161,21 @@ def hermiticity_check(ham: PGHamiltonian, tol: float = 1e-12) -> dict:
     m_inv = np.diag(1 / metric)
     adjoint = m_inv @ ham.matrix.conj().T @ m
     err = float(np.max(np.abs(adjoint - ham.matrix)))
-    return {
-        "name": "hamiltonian equals its adjoint",
-        "passed": err <= tol,
-        "detail": f"max entry deviation {err:.3e}",
-        "max_error": err,
-    }
+    return [
+        {
+            "name": "hamiltonian equals its adjoint",
+            "passed": err <= tol,
+            "detail": f"max entry deviation {err:.3e}",
+            "max_error": err,
+        }
+    ]
 
 
 # ---------------------------------------------------------------------------
 # coherent states (exact arithmetic)
 
 
-def resolution_of_identity(rep: SingleModeRep,
-                           config: CoherentConfig = CoherentConfig()) -> dict:
+def resolution_of_identity(rep: SingleModeRep, xi: int = 1) -> list[dict]:
     """Both forms of the completeness relation, exactly.
 
     Operator form: sum_k theta**k |0><0| partial**k / (k)_q! equals the
@@ -214,22 +208,19 @@ def resolution_of_identity(rep: SingleModeRep,
             )
             if not pair:
                 continue
-            phase = ctx.q_power(config.xi * (l * l - k * l))
+            phase = ctx.q_power(xi * (l * l - k * l))
             weight = phase * pair * ctx.inv_q_factorial(k) * ctx.inv_q_factorial(l)
             integral_sum = integral_sum + (
                 (rep.theta**k) @ e00 @ (rep.partial**l)
             ).scale(weight)
     integral_ok = integral_sum == ident
 
-    return {
-        "passed": operator_ok and integral_ok,
-        "checks": [
-            {"name": "operator completeness sum equals identity", "passed": operator_ok,
-             "detail": "exact matrix identity"},
-            {"name": "integral of coherent ket-bra equals identity", "passed": integral_ok,
-             "detail": f"xi = {config.xi}"},
-        ],
-    }
+    return [
+        {"name": "operator completeness sum equals identity", "passed": operator_ok,
+         "detail": "exact matrix identity"},
+        {"name": "integral of coherent ket-bra equals identity", "passed": integral_ok,
+         "detail": f"xi = {xi}"},
+    ]
 
 
 def _ladder_products(rep: SingleModeRep) -> list:
@@ -240,7 +231,7 @@ def _ladder_products(rep: SingleModeRep) -> list:
     return acc
 
 
-def coherent_state_check(rep: SingleModeRep) -> dict:
+def coherent_state_check(rep: SingleModeRep) -> list[dict]:
     """Defining eigen-properties of the coherent ket and bra, exactly.
 
     The ket |tbar> = sum_k theta**k |0> tbar**k / (k)_q! is represented as a
@@ -289,12 +280,9 @@ def coherent_state_check(rep: SingleModeRep) -> dict:
         bra = [theta * entry for entry in bra]
         bra_ok = bra_ok and all(a == b for a, b in zip(current, bra))
 
-    return {
-        "passed": ket_ok and bra_ok,
-        "checks": [
-            {"name": "derivative acts on the coherent ket as its eigenvalue",
-             "passed": ket_ok, "detail": "all powers up to p, exact"},
-            {"name": "theta acts on the coherent bra as its eigenvalue",
-             "passed": bra_ok, "detail": "all powers up to p, exact"},
-        ],
-    }
+    return [
+        {"name": "derivative acts on the coherent ket as its eigenvalue",
+         "passed": ket_ok, "detail": "all powers up to p, exact"},
+        {"name": "theta acts on the coherent bra as its eigenvalue",
+         "passed": bra_ok, "detail": "all powers up to p, exact"},
+    ]

@@ -28,12 +28,11 @@ interleaves by mode: theta_1, tbar_1, theta_2, tbar_2, ...
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors
 from .opmatrix import OpMatrix
 from .qarith import CycloContext, CycloElement
-from .single_mode import SingleModeRep, build_rep
+from .single_mode import build_rep
 
 THETA = 0
 TBAR = 1
@@ -242,14 +241,6 @@ def _swap_exponent(left: tuple[int, int], right: tuple[int, int]) -> int:
     return _eps(i, j) if same_kind else -_eps(i, j)
 
 
-@dataclass(frozen=True)
-class PGMonomial:
-    """coeff * theta_1**e0 tbar_1**e1 theta_2**e2 ... in canonical order."""
-
-    coeff: CycloElement
-    exps: tuple[int, ...]
-
-
 class PGAlgebra:
     """Normal-ordering engine for words in theta_i / tbar_i.
 
@@ -288,7 +279,7 @@ class PGAlgebra:
             exps[self._index(kind, mode)] += e
         if any(e > self.ctx.p for e in exps):
             return self.zero()
-        coeff = self._lift(coeff)
+        coeff = self.ctx.lift(coeff)
         if not coeff:
             return self.zero()
         return PGPolynomial(self, {tuple(exps): coeff})
@@ -298,11 +289,6 @@ class PGAlgebra:
 
     def tbar(self, mode: int) -> "PGPolynomial":
         return self.monomial({(TBAR, mode): 1})
-
-    def _lift(self, c) -> CycloElement:
-        if isinstance(c, CycloElement):
-            return c
-        return self.ctx.from_rational(Fraction(c))
 
     # -- rewriting -------------------------------------------------------------
 
@@ -412,7 +398,7 @@ class PGPolynomial:
         return self.scale(other)
 
     def scale(self, c) -> "PGPolynomial":
-        c = self.algebra._lift(c)
+        c = self.algebra.ctx.lift(c)
         if not c:
             return self.algebra.zero()
         return PGPolynomial(self.algebra, {e: c * v for e, v in self.terms.items()})
@@ -437,9 +423,6 @@ class PGPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def monomials(self) -> list[PGMonomial]:
-        return [PGMonomial(c, e) for e, c in sorted(self.terms.items())]
 
     def total_degree_truncate(self, degree: int) -> "PGPolynomial":
         return PGPolynomial(

@@ -8,8 +8,6 @@ and entrywise.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .qarith import CycloContext, CycloElement
@@ -81,8 +79,7 @@ class OpMatrix:
         return OpMatrix(self.ctx, self.dim, {k: -v for k, v in self.entries.items()})
 
     def scale(self, s) -> "OpMatrix":
-        if isinstance(s, (int, Fraction)):
-            s = self.ctx.from_rational(s)
+        s = self.ctx.lift(s)
         if not s:
             return OpMatrix(self.ctx, self.dim)
         return OpMatrix(self.ctx, self.dim, {k: s * v for k, v in self.entries.items()})
@@ -125,9 +122,6 @@ class OpMatrix:
         return OpMatrix(self.ctx, self.dim * d2, out)
 
     # -- structure -------------------------------------------------------
-
-    def transpose(self) -> "OpMatrix":
-        return OpMatrix(self.ctx, self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
     def conj_transpose(self) -> "OpMatrix":
         return OpMatrix(

@@ -1,7 +1,7 @@
 """Closed Z_{p+1} Potts chain: four independent partition-function routes.
 
 Spins take p+1 values, neighbours couple through a Kronecker delta, and the
-chain is periodic.  With x = exp(K) the four routes are: the closed form
+chain closes on itself.  With x = exp(K) the four routes are: the closed form
 (x+p)**N + p(x-1)**N, the trace of the N-th transfer-matrix power, the raw
 sum over all spin configurations, and a 2N-fold integral over nilpotent
 variables whose site factors carry the weights t_0 = (p+x)/(p+1) and
@@ -25,15 +25,12 @@ class PottsInstance:
     p: int
     sites: int
     x: Fraction | float
-    periodic: bool = True
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.sites < 2:
             raise ValueError("need at least two sites")
-        if not self.periodic:
-            raise ValueError("only the closed chain is supported")
         if isinstance(self.x, float) and self.x <= 0:
             raise ValueError("Boltzmann factor must be positive")
 
@@ -42,20 +39,10 @@ class PottsInstance:
         return isinstance(self.x, Fraction)
 
 
-@dataclass(frozen=True)
-class TransferCoefficients:
-    t: tuple
-
-    @classmethod
-    def build(cls, inst: PottsInstance) -> "TransferCoefficients":
-        p, x = inst.p, inst.x
-        if inst.exact:
-            t0 = Fraction(p + x, p + 1)
-            tn = Fraction(x - 1, p + 1)
-        else:
-            t0 = (p + x) / (p + 1)
-            tn = (x - 1) / (p + 1)
-        return cls((t0,) + (tn,) * p)
+def transfer_weights(inst: PottsInstance) -> tuple:
+    """Site weights (t_0, t_1, ..., t_p); exact when x is a Fraction."""
+    p, x = inst.p, inst.x
+    return ((p + x) / (p + 1),) + ((x - 1) / (p + 1),) * p
 
 
 def z_closed(inst: PottsInstance):
@@ -112,7 +99,7 @@ def z_paragrassmann(inst: PottsInstance, term_cap: int = 200_000, shift: int = 0
         )
     ctx = make_context(p)
     alg = PGAlgebra(ctx, n)
-    t = [ctx.from_rational(c) for c in TransferCoefficients.build(inst).t]
+    t = [ctx.lift(c) for c in transfer_weights(inst)]
     weights = [t[m] * ctx.inv_q_factorial(m) for m in range(p + 1)]
 
     def mode(i):

@@ -172,6 +172,20 @@ class CycloContext:
         vec[0] = Fraction(r)
         return CycloElement(self, vec)
 
+    def lift(self, value) -> "CycloElement":
+        """value as an element of this field; ints and Fractions become constants.
+
+        Raises ValueError for an element of another field and TypeError for
+        anything that is not an exact scalar.
+        """
+        if isinstance(value, CycloElement):
+            if value.ctx.order != self.order:
+                raise ValueError("elements from incompatible fields")
+            return value
+        if isinstance(value, (int, Fraction)):
+            return self.from_rational(value)
+        raise TypeError(f"cannot lift {type(value).__name__} into {self!r}")
+
     # -- q-combinatorics -----------------------------------------------------
 
     def q_number(self, n: int) -> "CycloElement":
@@ -239,34 +253,31 @@ class CycloElement:
         self.coeffs = tuple(coeffs)
 
     def _lift(self, other):
-        if isinstance(other, CycloElement):
-            if other.ctx.order != self.ctx.order:
-                raise ValueError("elements from incompatible fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.from_rational(other)
-        return None
+        try:
+            return self.ctx.lift(other)
+        except TypeError:
+            return NotImplemented
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         return CycloElement(self.ctx, (x + y for x, y in zip(self.coeffs, b.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         return CycloElement(self.ctx, (x - y for x, y in zip(self.coeffs, b.coeffs)))
 
     def __rsub__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         return b - self
 
     def __neg__(self):
@@ -280,8 +291,8 @@ class CycloElement:
 
     def __mul__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         if b._is_constant():
             return self._scale(b.coeffs[0])
         if self._is_constant():
@@ -328,14 +339,14 @@ class CycloElement:
 
     def __truediv__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         return self * b.inverse()
 
     def __rtruediv__(self, other):
         b = self._lift(other)
-        if b is None:
-            return NotImplemented
+        if b is NotImplemented:
+            return b
         return b * self.inverse()
 
     def __pow__(self, n: int):
@@ -383,12 +394,18 @@ class CycloElement:
         return any(self.coeffs)
 
     def __eq__(self, other):
-        b = self._lift(other)
-        if b is None:
+        try:
+            b = self.ctx.lift(other)
+        except TypeError:
             return NotImplemented
+        except ValueError:
+            return False  # elements of different fields are never equal
         return self.coeffs == b.coeffs
 
     def __hash__(self):
+        # a constant hashes like the rational it equals
+        if self._is_constant():
+            return hash(self.coeffs[0])
         return hash((self.ctx.order, self.coeffs))
 
     def to_json(self) -> dict:
@@ -415,33 +432,6 @@ class CycloElement:
             else:
                 terms.append(f"{c}*w^{k}")
         return "<" + (" + ".join(terms) if terms else "0") + ">"
-
-
-# ---------------------------------------------------------------------------
-# functional API
-
-
-def q_number(ctx: CycloContext, n: int) -> CycloElement:
-    """The q-analogue of n: 1 + q + ... + q**(n-1)."""
-    return ctx.q_number(n)
-
-
-def q_factorial(ctx: CycloContext, n: int) -> CycloElement:
-    """Product (1)_q (2)_q ... (n)_q, with the empty product equal to 1."""
-    return ctx.q_factorial(n)
-
-
-def q_half_power(ctx: CycloContext, k: int) -> CycloElement:
-    return ctx.q_half_power(k)
-
-
-def q_quarter_power(ctx: CycloContext, k: int) -> CycloElement:
-    return ctx.q_quarter_power(k)
-
-
-def embed(ctx: CycloContext, z: CycloElement) -> complex:
-    """Numeric embedding of an exact element."""
-    return z.embed()
 
 
 def complex_to_json(z: complex) -> dict:

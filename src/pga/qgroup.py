@@ -35,12 +35,6 @@ class QGroupRep:
     qdet: CycloElement
 
 
-def _lift(ctx, value) -> CycloElement:
-    if isinstance(value, CycloElement):
-        return value
-    return ctx.from_rational(Fraction(value))
-
-
 def _g_power(ctx, alpha: Fraction) -> OpMatrix:
     twice = alpha * 2
     if twice.denominator != 1:
@@ -53,8 +47,8 @@ def _g_power(ctx, alpha: Fraction) -> OpMatrix:
 def build_glq2(ctx: CycloContext, alpha, beta, gamma) -> QGroupRep:
     """The (p+1)-dimensional generator quadruple for given parameters."""
     alpha = Fraction(alpha)
-    beta = _lift(ctx, beta)
-    gamma = _lift(ctx, gamma)
+    beta = ctx.lift(beta)
+    gamma = ctx.lift(gamma)
     if not beta or not gamma:
         raise errors.ZeroParameter("beta and gamma must be nonzero")
     rep = build_rep(ctx)
@@ -72,7 +66,7 @@ def build_glq2(ctx: CycloContext, alpha, beta, gamma) -> QGroupRep:
 
 def build_slq2(ctx: CycloContext, alpha, beta) -> QGroupRep:
     """Unimodular case: gamma is forced to -q**(1/2)/beta and qdet = 1."""
-    beta = _lift(ctx, beta)
+    beta = ctx.lift(beta)
     if not beta:
         raise errors.ZeroParameter("beta must be nonzero")
     gamma = -ctx.q_half_power(1) / beta
@@ -97,8 +91,7 @@ def check_glq2_relations(rep: QGroupRep) -> list[dict]:
     add("b c = c b", b @ c, c @ b)
     add("[a, d] = (q^(1/2)-q^(-1/2)) b c", a @ d - d @ a, (b @ c).scale(lam))
 
-    ident = OpMatrix.identity(ctx, ctx.p + 1)
-    qdet_mat = ident.scale(rep.qdet)
+    qdet_mat = a @ d - (b @ c).scale(qh)
     for name, x in (("a", a), ("b", b), ("c", c), ("d", d)):
         add(f"qdet commutes with {name}", qdet_mat @ x, x @ qdet_mat)
     expected = -ctx.q_half_power(-1) * rep.beta * rep.gamma

@@ -20,7 +20,6 @@ adjoint needs no extra dressing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import errors
 from .opmatrix import OpMatrix
@@ -43,22 +42,16 @@ class SingleModeRep:
         return self.ctx.p + 1
 
 
-def _lift_beta(ctx, b) -> CycloElement:
-    if isinstance(b, CycloElement):
-        return b
-    return ctx.from_rational(Fraction(b))
-
-
 def build_rep(ctx: CycloContext, betas=None) -> SingleModeRep:
     """Construct the p+1 dimensional ladder representation.
 
-    betas may be any sequence of p nonzero scalars; they drop out of all
-    vacuum pairings and default to 1.
+    betas may be any sequence of p nonzero exact scalars (see
+    CycloContext.lift); they drop out of all vacuum pairings and default to 1.
     """
     p = ctx.p
     if betas is None:
         betas = [1] * p
-    betas = tuple(_lift_beta(ctx, b) for b in betas)
+    betas = tuple(ctx.lift(b) for b in betas)
     if len(betas) != p:
         raise errors.WrongLength(f"need {p} beta coefficients, got {len(betas)}")
     if not all(betas):
@@ -141,14 +134,15 @@ def dagger(rep: SingleModeRep, mat: OpMatrix) -> OpMatrix:
     return m_inv @ mat.conj_transpose() @ m
 
 
-def check_q_oscillator(rep: SingleModeRep) -> dict:
+def check_q_oscillator(rep: SingleModeRep) -> list[dict]:
     """Verify theta* theta - q**(1/2) theta theta* = g**(-1/2) exactly."""
     _require_principal(rep)
     star = conjugate(rep, "theta")
     lhs = star @ rep.theta - (rep.theta.scale(rep.ctx.q_half_power(1))) @ star
-    passed = lhs == rep.g_half_inv
-    return {
-        "name": "q-oscillator form of the defining relation",
-        "passed": passed,
-        "detail": "theta* theta - q^(1/2) theta theta* == g^(-1/2)",
-    }
+    return [
+        {
+            "name": "q-oscillator form of the defining relation",
+            "passed": lhs == rep.g_half_inv,
+            "detail": "theta* theta - q^(1/2) theta theta* == g^(-1/2)",
+        }
+    ]

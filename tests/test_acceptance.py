@@ -24,7 +24,6 @@ from pga.dynamics import (
 from pga.integration import (
     CoeffMatrix,
     IntegralNormalization,
-    convolve,
     convolve_via_integral,
     expq_addition_check,
     integral_via_derivatives,
@@ -153,7 +152,7 @@ def test_criterion_3_integral_calculus():
             ctx,
             [[ctx.from_rational(Fraction(rng.randint(-2, 2))) for _ in range(d)] for _ in range(d)],
         )
-        ok = ok and convolve_via_integral(f1, f2) == convolve(f1, f2)
+        ok = ok and convolve_via_integral(f1, f2) == f1 @ f2
     _report("criterion 3: pairing table, splits, derivative route, convolution", ok)
 
 
@@ -179,7 +178,7 @@ def test_criterion_4_factorial_identity_and_delta_sum():
 
 
 def test_criterion_5_expq_addition_law():
-    ok = all(expq_addition_check(make_context(p))["passed"] for p in range(1, 5))
+    ok = all(all_passed(expq_addition_check(make_context(p))) for p in range(1, 5))
     _report("criterion 5: q-exponential addition law, p<=4", ok)
 
 
@@ -189,9 +188,9 @@ def test_criterion_6_completeness_and_coherent_states():
     for p in range(1, 6):
         ctx = make_context(p)
         betas = [Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(p)]
-        ok = ok and resolution_of_identity(build_rep(ctx, betas))["passed"]
+        ok = ok and all_passed(resolution_of_identity(build_rep(ctx, betas)))
     for p in range(1, 4):
-        ok = ok and coherent_state_check(build_rep(make_context(p)))["passed"]
+        ok = ok and all_passed(coherent_state_check(build_rep(make_context(p))))
     _report("criterion 6: resolution of identity p<=5, coherent states p<=3", ok)
 
 
@@ -214,7 +213,7 @@ def test_criterion_7_heat_kernel():
         ok = ok and float(max(abs(d - target))) <= 1e-12
     # hermiticity at 1e-12 for real coefficients
     for h in ((0.0, 1.0, 1.0), (2.0, 0.5, 1.5)):
-        ok = ok and hermiticity_check(build_hamiltonian(ctx, h), tol=1e-12)["passed"]
+        ok = ok and all_passed(hermiticity_check(build_hamiltonian(ctx, h), tol=1e-12))
     _report("criterion 7: heat-kernel convergence, exact phases, hermiticity", ok)
 
 

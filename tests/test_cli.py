@@ -1,6 +1,8 @@
 """Command-line interface: dispatch, formats, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,14 @@ def test_potts_integral_needs_exact(capsys):
     code = main(["potts", "--p", "1", "--sites", "2", "--x", "2", "--method", "integral"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_potts_one_site_exit_2(capsys):
+    code = main(["potts", "--p", "1", "--sites", "1", "--x", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need at least two sites\n"
 
 
 def test_usage_error_exit_2():
@@ -121,3 +131,24 @@ def test_byte_identical_reruns(capsys):
         _, first = run(capsys, *argv)
         _, second = run(capsys, *argv)
         assert first == second
+
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "cli_golden.json"
+
+# (README command line, its key in the golden file); verify's --seed defaults to 0
+README_COMMANDS = [
+    ("verify --p 2 --modes 2", "verify --p 2 --modes 2 --seed 0"),
+    ("potts --p 2 --sites 3 --x 2 --method all --exact", None),
+    ("potts --p 1 --sites 4 --x 5/2 --exact --format csv", None),
+    ("repr --p 2 --dump theta,partial,g", None),
+    ("heat --p 2 --h 0,1,1 --time 1 --steps 16 --convergence", None),
+    ("qgroup --p 2 --alpha 1/2 --beta 2 --sl", None),
+]
+
+
+@pytest.mark.parametrize("command,key", README_COMMANDS, ids=[c for c, _ in README_COMMANDS])
+def test_readme_commands_match_golden_output(capsys, command, key):
+    golden = json.loads(GOLDEN.read_text())
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == golden[key or command]

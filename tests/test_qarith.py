@@ -7,16 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pga.qarith import (
-    CycloElement,
-    cyclotomic_polynomial,
-    embed,
-    make_context,
-    q_factorial,
-    q_half_power,
-    q_number,
-    q_quarter_power,
-)
+from pga.qarith import CycloElement, cyclotomic_polynomial, make_context
 
 small_fractions = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
@@ -82,23 +73,23 @@ def test_primitivity(p):
     assert ctx.q_power(p + 1) == 1
     for k in range(1, p + 1):
         assert ctx.q_power(k) != 1
-        assert q_number(ctx, k)  # nonzero
-    assert not q_number(ctx, p + 1)
+        assert ctx.q_number(k)  # nonzero
+    assert not ctx.q_number(p + 1)
 
 
 def test_q_number_examples():
-    assert q_number(make_context(2), 0) == 0
+    assert make_context(2).q_number(0) == 0
     ctx3 = make_context(3)
-    assert q_number(ctx3, 2) == ctx3.one + ctx3.q
-    assert abs(embed(ctx3, q_number(ctx3, 2)) - (1 + 1j)) < 1e-12
-    assert q_number(ctx3, 4) == 0
+    assert ctx3.q_number(2) == ctx3.one + ctx3.q
+    assert abs(ctx3.q_number(2).embed() - (1 + 1j)) < 1e-12
+    assert ctx3.q_number(4) == 0
 
 
 def test_q_factorial_examples():
     ctx2 = make_context(2)
-    assert q_factorial(ctx2, 0) == 1
-    assert q_factorial(ctx2, 2) == ctx2.one + ctx2.q
-    assert q_factorial(make_context(3), 4) == 0
+    assert ctx2.q_factorial(0) == 1
+    assert ctx2.q_factorial(2) == ctx2.one + ctx2.q
+    assert make_context(3).q_factorial(4) == 0
 
 
 @pytest.mark.parametrize("p", range(1, 7))
@@ -108,24 +99,24 @@ def test_q_number_against_closed_form(p):
     qc = ctx.q.embed()
     for n in range(1, p + 1):
         expect = (1 - qc**n) / (1 - qc)
-        assert abs(q_number(ctx, n).embed() - expect) < 1e-12
+        assert abs(ctx.q_number(n).embed() - expect) < 1e-12
 
 
 def test_half_and_quarter_powers():
     ctx1 = make_context(1)
-    assert q_half_power(ctx1, 0) == 1
-    assert abs(q_half_power(ctx1, 1).embed() - 1j) < 1e-12
+    assert ctx1.q_half_power(0) == 1
+    assert abs(ctx1.q_half_power(1).embed() - 1j) < 1e-12
     for p in (1, 2, 3, 5):
         ctx = make_context(p)
-        assert q_half_power(ctx, 2) == ctx.q
-        assert q_quarter_power(ctx, 4) == ctx.q
-        assert q_quarter_power(ctx, 2) == q_half_power(ctx, 1)
+        assert ctx.q_half_power(2) == ctx.q
+        assert ctx.q_quarter_power(4) == ctx.q
+        assert ctx.q_quarter_power(2) == ctx.q_half_power(1)
 
 
 def test_embed_examples():
-    assert abs(embed(make_context(1), make_context(1).one) - 1) < 1e-15
-    assert abs(embed(make_context(1), make_context(1).q) + 1) < 1e-12
-    assert abs(embed(make_context(3), make_context(3).q) - 1j) < 1e-12
+    assert abs(make_context(1).one.embed() - 1) < 1e-15
+    assert abs(make_context(1).q.embed() + 1) < 1e-12
+    assert abs(make_context(3).q.embed() - 1j) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +126,14 @@ def test_embed_examples():
 @pytest.mark.parametrize("p", range(1, 7))
 def test_factorial_splitting_identity(p):
     ctx = make_context(p)
-    top = q_factorial(ctx, p)
+    top = ctx.q_factorial(p)
     for n in range(p + 1):
         half = (n * (n + 1)) // 2  # n(n+1) is always even
         rhs = (
             (-1) ** n
             * ctx.q_power(-half)
-            * q_factorial(ctx, n)
-            * q_factorial(ctx, p - n)
+            * ctx.q_factorial(n)
+            * ctx.q_factorial(p - n)
         )
         assert top == rhs
 
@@ -201,3 +192,37 @@ def test_json_roundtrip():
     blob = e.to_json()
     assert blob["order"] == 12
     assert all("/" in s for s in blob["coeffs"])
+
+
+# ---------------------------------------------------------------------------
+# lifting scalars, equality and hashing
+
+
+def test_lift():
+    ctx = make_context(2)
+    assert ctx.lift(ctx.q) is ctx.q
+    assert ctx.lift(3) == ctx.from_rational(3)
+    assert ctx.lift(Fraction(-1, 2)).to_rational() == Fraction(-1, 2)
+    with pytest.raises(ValueError):
+        ctx.lift(make_context(3).q)
+    for bad in (1.5, "1", None):
+        with pytest.raises(TypeError):
+            ctx.lift(bad)
+    with pytest.raises(TypeError):
+        ctx.q + 0.5
+
+
+def test_equal_elements_hash_equal():
+    ctx = make_context(2)
+    assert ctx.one == 1 and len({ctx.one, 1}) == 1
+    half = ctx.from_rational(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({ctx.zero, 0, ctx.q, ctx.q_power(1)}) == 2
+
+
+def test_elements_of_different_fields_are_unequal():
+    one1, one3 = make_context(1).one, make_context(3).one
+    assert one1 != one3
+    assert not one1 == make_context(3).q
+    with pytest.raises(ValueError):
+        one1 + one3

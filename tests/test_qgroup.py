@@ -79,3 +79,14 @@ def test_perturbed_d_fails_commutator_relation():
     checks = check_glq2_relations(broken)
     failed = {c["name"] for c in checks if not c["passed"]}
     assert any("[a, d]" in name for name in failed)
+
+
+@pytest.mark.parametrize("p", (1, 2, 3))
+def test_perturbed_d_breaks_qdet_centrality(p):
+    # the quantum determinant is rebuilt from the generators, so a tampered d
+    # must show up in the centrality checks, not only in [a, d]
+    ctx = make_context(p)
+    rep = build_glq2(ctx, Fraction(1, 2), 1, 1)
+    broken = dataclasses.replace(rep, d=rep.d + OpMatrix.unit(ctx, p + 1, 1, 0))
+    failed = {c["name"] for c in check_glq2_relations(broken) if not c["passed"]}
+    assert {"qdet commutes with a", "qdet commutes with d"} <= failed

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pga import errors
+from pga.multimode import all_passed
 from pga.opmatrix import OpMatrix
 from pga.qarith import make_context
 from pga.single_mode import (
@@ -145,4 +146,4 @@ def test_conjugate_rejects_nonprincipal_roots():
 @pytest.mark.parametrize("p", (1, 2, 3))
 def test_q_oscillator_form(p):
     rep = build_rep(make_context(p))
-    assert check_q_oscillator(rep)["passed"]
+    assert all_passed(check_q_oscillator(rep))
