@@ -64,7 +64,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integration import default_normalization, integrate_mode, integrate_all, measure_poly
+from .integration import (
+    CoeffMatrix,
+    convolve_via_integral,
+    default_normalization,
+    integrate_all,
+    measure_poly,
+)
 from .multimode import PGAlgebra
 from .opmatrix import OpMatrix
 from .qarith import CycloContext
@@ -120,29 +126,16 @@ def discretized_propagator(
 def compose_steps_via_integral(ham: PGHamiltonian, delta: float, sign: int = 1) -> np.ndarray:
     """Cross-check: glue two short-time kernels with the two-variable integral.
 
-    The mode-2 integral of mu * theta1^m tbar2^m theta2^m' tbar3^m' is
-    evaluated exactly and contracted with the kernel factors; the result must
-    equal the per-level product t_m**2.
+    The glue is the exact convolution of two identity coefficient arrays
+    through the mode-2 integral; contracting it with the kernel factors must
+    give the per-level product t_m**2.
     """
-    ctx = ham.ctx
-    p = ctx.p
-    alg = PGAlgebra(ctx, 3)
-    norm = default_normalization(ctx)
-    mu = measure_poly(alg, 2)
+    ident = CoeffMatrix.identity(ham.ctx)
+    glue = convolve_via_integral(ident, ident).rows
     t = step_kernel(ham, delta, sign)
-    out = np.zeros(p + 1, dtype=complex)
-    for m1 in range(p + 1):
-        for m2 in range(p + 1):
-            base = alg.monomial({("theta", 1): m1, ("tbar", 2): m1}) * alg.monomial(
-                {("theta", 2): m2, ("tbar", 3): m2}
-            )
-            reduced = integrate_mode(mu * base, 2, norm)
-            kappa = reduced.coefficient({("theta", 1): m1, ("tbar", 3): m2})
-            if not kappa:
-                continue
-            weight = (kappa * ctx.inv_q_factorial(m2)).embed()
-            out[m1] += t[m1] * t[m2] * weight
-    return out
+    return np.array(
+        [t[a] * sum(g.embed() * t[b] for b, g in enumerate(row)) for a, row in enumerate(glue)]
+    )
 
 
 def hermiticity_check(ham: PGHamiltonian, tol: float = 1e-12) -> list[dict]:

@@ -216,9 +216,6 @@ class CycloContext:
 
     # -- misc ----------------------------------------------------------------
 
-    def embed_root(self, j: int = 1) -> complex:
-        return self._root_c ** (j % self.order)
-
     def __eq__(self, other):
         return (
             isinstance(other, CycloContext)

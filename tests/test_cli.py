@@ -63,6 +63,23 @@ def test_potts_one_site_exit_2(capsys):
     assert captured.err == "error: need at least two sites\n"
 
 
+def test_potts_nonpositive_exact_x_exit_2(capsys):
+    code = main(["potts", "--p", "2", "--sites", "3", "--x", "-2", "--exact", "--method", "closed"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: Boltzmann factor must be positive\n"
+
+
+def test_heat_nan_input_exit_2(capsys):
+    code = main(["heat", "--p", "1", "--h", "nan,1", "--time", "1", "--steps", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["potts", "--p", "0", "--sites", "3", "--x", "2"])

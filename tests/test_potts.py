@@ -90,6 +90,15 @@ def test_integral_route_cyclic_relabeling():
         assert z_paragrassmann(inst, shift=shift) == base
 
 
+def test_integral_route_long_chains():
+    # chains whose full (p+1)**N-term expansion was out of reach
+    for p, n in ((1, 40), (3, 12), (6, 6)):
+        inst = PottsInstance(p, n, Fraction(7, 3))
+        assert z_paragrassmann(inst, term_cap=(p + 1) ** n) == z_closed(inst)
+    inst = PottsInstance(3, 12, Fraction(5, 2))
+    assert z_paragrassmann(inst, term_cap=4**12, shift=5) == z_closed(inst)
+
+
 @pytest.mark.parametrize("p", (1, 2))
 @pytest.mark.parametrize("n", (2, 3))
 def test_level_sum_form(p, n):
@@ -116,6 +125,12 @@ def test_instance_validation():
         PottsInstance(2, 1, Fraction(2))
     with pytest.raises(ValueError):
         PottsInstance(2, 3, -1.0)
+    with pytest.raises(ValueError):
+        PottsInstance(2, 3, Fraction(0))
+    with pytest.raises(ValueError):
+        PottsInstance(2, 3, Fraction(-1))
+    with pytest.raises(ValueError):
+        PottsInstance(2, 3, float("nan"))
 
 
 @pytest.mark.parametrize("p", (1, 2, 3))
