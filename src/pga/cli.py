@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -133,16 +134,13 @@ def _cmd_potts(args) -> int:
             raise ValueError("the integral route requires --exact")
         methods.remove("integral")
 
-    values = {}
-    for method in methods:
-        if method == "closed":
-            values[method] = potts_mod.z_closed(inst)
-        elif method == "transfer":
-            values[method] = potts_mod.z_transfer(inst)
-        elif method == "brute":
-            values[method] = potts_mod.z_bruteforce(inst)
-        elif method == "integral":
-            values[method] = potts_mod.z_paragrassmann(inst, term_cap=args.cap)
+    routes = {
+        "closed": potts_mod.z_closed,
+        "transfer": potts_mod.z_transfer,
+        "brute": potts_mod.z_bruteforce,
+        "integral": lambda i: potts_mod.z_paragrassmann(i, term_cap=args.cap),
+    }
+    values = {method: routes[method](inst) for method in methods}
 
     vals = list(values.values())
     if args.exact:
@@ -206,6 +204,10 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_heat(args) -> int:
+    if not all(math.isfinite(v) for v in args.h):
+        raise ValueError(f"--h values must be finite, got {args.h}")
+    if not math.isfinite(args.time):
+        raise ValueError(f"--time must be finite, got {args.time}")
     ctx = make_context(args.p)
     ham = build_hamiltonian(ctx, args.h)
     exact = exact_propagator(ham, args.time)

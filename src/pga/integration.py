@@ -109,11 +109,7 @@ def integrate_mode(poly: PGPolynomial, mode: int,
         key = tuple(reduced)
         val = coeff * weight
         s = out.get(key)
-        s = val if s is None else s + val
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        out[key] = val if s is None else s + val
     return PGPolynomial(alg, out)
 
 

@@ -359,11 +359,7 @@ class PGPolynomial:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = c if s is None else s + c
         return PGPolynomial(self.algebra, out)
 
     def __sub__(self, other):
@@ -386,11 +382,7 @@ class PGPolynomial:
                 phase, exps = got
                 val = ca * cb * alg.ctx.q_power(phase)
                 s = acc.get(exps)
-                s = val if s is None else s + val
-                if s:
-                    acc[exps] = s
-                else:
-                    acc.pop(exps, None)
+                acc[exps] = val if s is None else s + val
         return PGPolynomial(alg, acc)
 
     def __rmul__(self, other):

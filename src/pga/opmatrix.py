@@ -65,11 +65,7 @@ class OpMatrix:
         out = dict(self.entries)
         for k, v in other.entries.items():
             s = out.get(k)
-            s = v if s is None else s + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = v if s is None else s + v
         return OpMatrix(self.ctx, self.dim, out)
 
     def __sub__(self, other):

@@ -5,10 +5,12 @@ chain closes on itself.  With x = exp(K) the four routes are: the closed form
 (x+p)**N + p(x-1)**N, the trace of the N-th transfer-matrix power, the raw
 sum over all spin configurations, and a 2N-fold integral over nilpotent
 variables whose site factors carry the weights t_0 = (p+x)/(p+1) and
-t_n = (x-1)/(p+1).  The integral is swept along the chain, one shared mode
-at a time, which is the convolution = coefficient-matrix product identity
-applied site by site, so the (p+1)**N-term product is never formed.  In
-exact-rational mode all four agree identically.
+t_n = (x-1)/(p+1).  Each site factor is the coefficient array
+diag(t_0, ..., t_p); the open chain of N-1 sites is N-2 glue integrals over
+the shared modes (the convolution = coefficient-matrix product identity),
+and the last site closes it in a two-mode algebra with tbar on the left.
+The (p+1)**N-term product is never formed.  In exact-rational mode all four
+agree identically.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from fractions import Fraction
 from itertools import product
 
 from . import errors
-from .integration import default_normalization, integrate_mode, measure_poly
+from .integration import (
+    CoeffMatrix,
+    convolve_via_integral,
+    default_normalization,
+    integrate_mode,
+    measure_poly,
+)
 from .multimode import PGAlgebra
 from .qarith import CycloContext, make_context
 
@@ -83,59 +91,48 @@ def z_bruteforce(inst: PottsInstance, cap: int = 10**7):
     return sum(c * inst.x**k for k, c in enumerate(counts) if c)
 
 
-def z_paragrassmann(inst: PottsInstance, term_cap: int = 200_000, shift: int = 0):
+def z_paragrassmann(inst: PottsInstance, term_cap: int = 200_000):
     """Partition function as a 2N-fold integral over nilpotent variables.
 
-    Site i contributes sum_m (t_m/(m)_q!) theta_i**m tbar_{i+1}**m; the last
-    site wraps onto mode 1.  Mode i is integrated against its measure as soon
-    as site i, its second factor, is multiplied in, so at most three modes
-    are live at once.  This is exact: the pair theta_i**p tbar_i**p picks up
-    phases eps and -eps against any other generator, a zero net phase, so
-    integrating it early commutes with every factor still to come.  The wrap
-    sum_m w_m tbar_{mode(1)}**m (...) theta_{mode(N)}**m keeps tbar on the
-    left of the swept product, as in the full product, and modes mode(1) and
-    mode(N) are integrated last.  All root-of-unity phases cancel and the
-    result is the exact rational (p+1)**N sum_m t_m**N.
+    Site i contributes sum_m (t_m/(m)_q!) theta_i**m tbar_{i+1}**m, which is
+    the CoeffMatrix diag(t_0, ..., t_p).  Sites 1..N-1 are glued by N-2
+    integrals over the shared modes 2..N-1, each a three-mode
+    convolve_via_integral, leaving a function of theta_1 and tbar_N.  Site N
+    wraps onto mode 1 as sum_m (t_m/(m)_q!) tbar_1**m (...) theta_N**m, with
+    tbar on the left as in the full product, and the two remaining modes are
+    integrated in a two-mode algebra.  All root-of-unity phases cancel and
+    the result is the exact rational (p+1)**N sum_m t_m**N.
 
-    shift relabels the chain sites cyclically; the result must not change.
+    term_cap bounds the (N-1)(p+1)**2 coefficient entries the route builds.
     """
     if not inst.exact:
         raise ValueError("the integral route needs an exact rational x")
     p, n = inst.p, inst.sites
-    if (p + 1) ** n > term_cap:
-        raise errors.DimensionCap(
-            f"{(p + 1) ** n} spin configurations exceed cap {term_cap}"
-        )
+    entries = (n - 1) * (p + 1) ** 2
+    if entries > term_cap:
+        raise errors.DimensionCap(f"{entries} coefficient entries exceed cap {term_cap}")
     ctx = make_context(p)
-    alg = PGAlgebra(ctx, n)
     norm = default_normalization(ctx)
     t = [ctx.lift(c) for c in transfer_weights(inst)]
-    weights = [t[m] * ctx.inv_q_factorial(m) for m in range(p + 1)]
+    site = CoeffMatrix(ctx, [[t[i] if i == j else ctx.zero for j in range(p + 1)]
+                             for i in range(p + 1)])
 
-    def mode(i):
-        return (i - 1 + shift) % n + 1
-
-    def integrate(poly, i):
-        return integrate_mode(measure_poly(alg, mode(i)) * poly, mode(i), norm)
-
-    # site factors are built as products so that relabeled mode pairs in
-    # non-canonical order still pick up their reordering phases
-    def site(i):
-        return sum(
-            (alg.monomial({("theta", mode(i)): m}, weights[m])
-             * alg.monomial({("tbar", mode(i + 1)): m}) for m in range(p + 1)),
-            alg.zero(),
-        )
-
-    poly = site(1)
-    for i in range(2, n):
-        poly = integrate(poly * site(i), i)
+    chain = site
+    for _ in range(n - 2):
+        chain = convolve_via_integral(chain, site, norm)
+    alg = PGAlgebra(ctx, 2)
+    poly = chain.to_poly(alg, 1, 2)
     closed = sum(
-        (alg.monomial({("tbar", mode(1)): m}, weights[m]) * poly
-         * alg.monomial({("theta", mode(n)): m}) for m in range(p + 1)),
+        (alg.monomial({("tbar", 1): m}, t[m] * ctx.inv_q_factorial(m)) * poly
+         * alg.monomial({("theta", 2): m}) for m in range(p + 1)),
         alg.zero(),
     )
-    value = integrate(integrate(closed, 1), n).constant()
+    # a measure pair has zero net phase against the other mode, so one mode
+    # at a time equals integrate_all(mu_1 * mu_2 * closed) with far fewer
+    # scalar products
+    for mode in (1, 2):
+        closed = integrate_mode(measure_poly(alg, mode) * closed, mode, norm)
+    value = closed.constant()
 
     return Fraction(p + 1) ** n * value.to_rational()
 

@@ -281,6 +281,8 @@ class CycloElement:
         return CycloElement(self.ctx, (-x for x in self.coeffs))
 
     def _scale(self, c: Fraction):
+        if not c:
+            return self.ctx.zero
         return CycloElement(self.ctx, (c * x for x in self.coeffs))
 
     def _is_constant(self) -> bool:

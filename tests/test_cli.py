@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,15 @@ def test_potts_integral_needs_exact(capsys):
     assert code == 2
 
 
+def test_potts_integral_long_chain(capsys):
+    # 2**40 spin configurations, but only 39 * 4 coefficient entries
+    code, out = run(
+        capsys, "potts", "--p", "1", "--sites", "40", "--x", "2", "--exact", "--method", "integral"
+    )
+    assert code == 0
+    assert '"integral": "12157665459056928802"' in out
+
+
 def test_potts_one_site_exit_2(capsys):
     code = main(["potts", "--p", "1", "--sites", "1", "--x", "2"])
     captured = capsys.readouterr()
@@ -71,12 +81,20 @@ def test_potts_nonpositive_exact_x_exit_2(capsys):
     assert captured.err == "error: Boltzmann factor must be positive\n"
 
 
-def test_heat_nan_input_exit_2(capsys):
-    code = main(["heat", "--p", "1", "--h", "nan,1", "--time", "1", "--steps", "4"])
+@pytest.mark.parametrize(
+    "h, time, flag",
+    [("nan,1", "1", "--h"), ("1,1", "inf", "--time"), ("1,inf", "1", "--h")],
+    ids=["h-nan", "time-inf", "h-inf"],
+)
+def test_heat_nan_input_exit_2(capsys, h, time, flag):
+    # rejected before any numpy call, so no RuntimeWarning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["heat", "--p", "1", "--h", h, "--time", time, "--steps", "4"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith(f"error: {flag} ")
     assert captured.err.count("\n") == 1
 
 

@@ -81,13 +81,13 @@ def test_integral_route_requires_exact():
 def test_integral_route_term_cap():
     with pytest.raises(errors.DimensionCap):
         z_paragrassmann(PottsInstance(2, 3, Fraction(2)), term_cap=10)
-
-
-def test_integral_route_cyclic_relabeling():
-    inst = PottsInstance(2, 3, Fraction(5, 2))
-    base = z_paragrassmann(inst)
-    for shift in (1, 2):
-        assert z_paragrassmann(inst, shift=shift) == base
+    # the cap counts the (N-1)(p+1)**2 coefficient entries the route builds
+    for p, n in ((1, 2), (2, 3), (1, 40), (4, 5)):
+        inst = PottsInstance(p, n, Fraction(5, 2))
+        entries = (n - 1) * (p + 1) ** 2
+        assert z_paragrassmann(inst, term_cap=entries) == z_closed(inst)
+        with pytest.raises(errors.DimensionCap):
+            z_paragrassmann(inst, term_cap=entries - 1)
 
 
 def test_integral_route_long_chains():
@@ -96,7 +96,7 @@ def test_integral_route_long_chains():
         inst = PottsInstance(p, n, Fraction(7, 3))
         assert z_paragrassmann(inst, term_cap=(p + 1) ** n) == z_closed(inst)
     inst = PottsInstance(3, 12, Fraction(5, 2))
-    assert z_paragrassmann(inst, term_cap=4**12, shift=5) == z_closed(inst)
+    assert z_paragrassmann(inst, term_cap=4**12) == z_closed(inst)
 
 
 @pytest.mark.parametrize("p", (1, 2))
