@@ -140,7 +140,14 @@ def _cmd_potts(args) -> int:
         "brute": potts_mod.z_bruteforce,
         "integral": lambda i: potts_mod.z_paragrassmann(i, term_cap=args.cap),
     }
-    values = {method: routes[method](inst) for method in methods}
+    values = {}
+    for method in methods:
+        try:
+            values[method] = routes[method](inst)
+        except errors.TooLarge:
+            # only the brute route enumerates; under "all" the others still answer
+            if args.method != "all":
+                raise
 
     vals = list(values.values())
     if args.exact:

@@ -113,11 +113,10 @@ def discretized_propagator(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     delta = t / steps
-    phases = step_phases(ham)
     if kernel == "expm":
-        single = np.exp(1j * sign * delta * phases)
+        single = step_kernel(ham, delta, sign)
     elif kernel == "euler":
-        single = 1 + 1j * sign * delta * phases
+        single = 1 + 1j * sign * delta * step_phases(ham)
     else:
         raise ValueError("kernel must be 'expm' or 'euler'")
     return single**steps
@@ -183,7 +182,7 @@ def resolution_of_identity(rep: SingleModeRep, xi: int = 1) -> list[dict]:
     ident = OpMatrix.identity(ctx, dim)
     e00 = OpMatrix.unit(ctx, dim, 0, 0)
 
-    operator_sum = OpMatrix.zeros(ctx, dim)
+    operator_sum = OpMatrix(ctx, dim)
     for k in range(dim):
         piece = (rep.theta**k) @ e00 @ (rep.partial**k)
         operator_sum = operator_sum + piece.scale(ctx.inv_q_factorial(k))
@@ -192,7 +191,7 @@ def resolution_of_identity(rep: SingleModeRep, xi: int = 1) -> list[dict]:
     alg = PGAlgebra(ctx, 1)
     mu = measure_poly(alg, 1)
     norm = default_normalization(ctx)
-    integral_sum = OpMatrix.zeros(ctx, dim)
+    integral_sum = OpMatrix(ctx, dim)
     for k in range(dim):
         for l in range(dim):
             pair = integrate_all(

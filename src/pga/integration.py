@@ -17,6 +17,7 @@ equivalence, and the closed-form chain sums below all come out exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import errors
 from .multimode import PGAlgebra, PGPolynomial, build_multimode
@@ -98,14 +99,14 @@ def integrate_mode(poly: PGPolynomial, mode: int,
     p = ctx.p
     if norm is None:
         norm = default_normalization(ctx)
-    it = 2 * (mode - 1)
+    it, ib = alg._index(("theta", mode)), alg._index(("tbar", mode))
     weight = norm.x_p * norm.xbar_p * ctx.q_power(-p * p)
     out: dict = {}
     for exps, coeff in poly.terms.items():
-        if exps[it] != p or exps[it + 1] != p:
+        if exps[it] != p or exps[ib] != p:
             continue
         reduced = list(exps)
-        reduced[it] = reduced[it + 1] = 0
+        reduced[it] = reduced[ib] = 0
         key = tuple(reduced)
         val = coeff * weight
         s = out.get(key)
@@ -143,23 +144,29 @@ def pairing_integral(ctx: CycloContext, f_coeffs, g_coeffs,
     return integrate_all(fpoly * gpoly * measure_poly(alg, 1), norm)
 
 
+@lru_cache(maxsize=16)
 def _matrix_pieces(ctx: CycloContext):
+    """th, tb, pa, pb, the measure mu and pa**p @ pb**p in the one-mode matrices.
+
+    mu is built from th @ tb, not from measure_poly: it is the reference the
+    pairing route is compared against.
+    """
     rep = build_multimode(ctx, 1)
     th, tb = rep.theta_ops[0], rep.tbar_ops[0]
     pa, pb = rep.partial_ops[0], rep.pbar_ops[0]
-    mu = OpMatrix.zeros(ctx, rep.dim)
+    mu = OpMatrix(ctx, rep.dim)
     block = (th @ tb).scale(-1)
     power = OpMatrix.identity(ctx, rep.dim)
     for k in range(ctx.p + 1):
         mu = mu + power.scale(ctx.inv_q_factorial(k))
         power = power @ block
-    return rep, th, tb, pa, pb, mu
+    return th, tb, pa, pb, mu, (pa**ctx.p) @ (pb**ctx.p)
 
 
 def _matrix_poly(ctx, gen, coeffs):
-    acc = OpMatrix.zeros(ctx, gen.dim)
+    acc = OpMatrix(ctx, gen.dim)
     power = OpMatrix.identity(ctx, gen.dim)
-    for c in coeffs:
+    for c in _lift_coeffs(ctx, coeffs):
         acc = acc + power.scale(c)
         power = power @ gen
     return acc
@@ -172,25 +179,16 @@ def integral_via_derivatives(ctx: CycloContext, f_coeffs, g_coeffs) -> CycloElem
     word to the vacuum and reading the vacuum component extracts the constant
     term of the derivative action.
     """
-    f = _lift_coeffs(ctx, f_coeffs)
-    g = _lift_coeffs(ctx, g_coeffs)
-    _, th, tb, pa, pb, mu = _matrix_pieces(ctx)
-    fmat = _matrix_poly(ctx, tb, f)
-    gmat = _matrix_poly(ctx, th, g)
-    p = ctx.p
-    total = (pa**p) @ (pb**p) @ fmat @ gmat @ mu
-    return ctx.inv_q_factorial(p) * total.entry(0, 0)
+    th, tb, _, _, mu, head = _matrix_pieces(ctx)
+    total = head @ _matrix_poly(ctx, tb, f_coeffs) @ _matrix_poly(ctx, th, g_coeffs) @ mu
+    return ctx.inv_q_factorial(ctx.p) * total.entry(0, 0)
 
 
 def derivative_integral_checks(ctx: CycloContext, f_coeffs, g_coeffs) -> list[dict]:
     """Both total-derivative integrals vanish: the boundary terms of the calculus."""
-    f = _lift_coeffs(ctx, f_coeffs)
-    g = _lift_coeffs(ctx, g_coeffs)
-    _, th, tb, pa, pb, mu = _matrix_pieces(ctx)
-    fmat = _matrix_poly(ctx, tb, f)
-    gmat = _matrix_poly(ctx, th, g)
-    p = ctx.p
-    head = (pa**p) @ (pb**p)
+    th, tb, pa, pb, mu, head = _matrix_pieces(ctx)
+    fmat = _matrix_poly(ctx, tb, f_coeffs)
+    gmat = _matrix_poly(ctx, th, g_coeffs)
     v1 = (head @ fmat @ pa @ gmat @ mu).entry(0, 0)
     v2 = (head @ pb @ fmat @ gmat @ mu).entry(0, 0)
     return [
@@ -253,15 +251,14 @@ class CoeffMatrix:
         return self.rows == other.rows
 
     def to_poly(self, alg: PGAlgebra, theta_mode: int = 1, tbar_mode: int = 1) -> PGPolynomial:
-        acc = alg.zero()
-        for n, row in enumerate(self.rows):
-            inv = alg.ctx.inv_q_factorial(n)
-            for m, f in enumerate(row):
-                if f:
-                    acc = acc + alg.monomial(
-                        {("theta", theta_mode): n, ("tbar", tbar_mode): m}, inv * f
-                    )
-        return acc
+        terms = {
+            alg.exponents({("theta", theta_mode): n, ("tbar", tbar_mode): m}):
+                alg.ctx.inv_q_factorial(n) * f
+            for n, row in enumerate(self.rows)
+            for m, f in enumerate(row)
+            if f
+        }
+        return PGPolynomial(alg, terms)
 
     @classmethod
     def from_poly(cls, ctx, poly: PGPolynomial, theta_mode: int = 1,

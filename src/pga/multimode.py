@@ -21,24 +21,23 @@ with eps_ij = +1 for i > j and -1 for i <= j.
 
 The symbolic engine rewrites words in the theta/tbar generators only (this
 covers every integrand that appears downstream); words containing derivatives
-are evaluated through the matrix representation instead.  Canonical order
-interleaves by mode: theta_1, tbar_1, theta_2, tbar_2, ...
+are evaluated through the matrix representation instead.  A word is the
+ordered product of its generators: every product of canonical monomials, and
+so every normal ordering, reads its phases from one table built from the
+reordering rule above.  Canonical order interleaves by mode: theta_1, tbar_1,
+theta_2, tbar_2, ...
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 from . import errors
 from .opmatrix import OpMatrix
 from .qarith import CycloContext, CycloElement
 from .single_mode import build_rep
-
-THETA = 0
-TBAR = 1
-
-_KIND_NAMES = {"theta": THETA, "tbar": TBAR}
-
 
 # ---------------------------------------------------------------------------
 # matrix representation
@@ -182,7 +181,7 @@ def check_relations(rep: MultiModeRep) -> list[dict]:
             qed = ctx.q_power(e + d)
             qme = ctx.q_power(-e)
             qpe = ctx.q_power(e)
-            delta_term = ident if i == j else OpMatrix.zeros(ctx, rep.dim)
+            delta_term = ident if i == j else OpMatrix(ctx, rep.dim)
 
             add(f"theta{i} theta{j}", t_i @ t_j, (t_j @ t_i).scale(qed))
             add(f"partial{i} partial{j}", d_i @ d_j, (d_j @ d_i).scale(qed))
@@ -215,30 +214,38 @@ def all_passed(checks: list[dict]) -> bool:
 # ---------------------------------------------------------------------------
 # symbolic engine
 
+# the generator kinds the engine rewrites, in their order within a mode's block
+_KINDS = ("theta", "tbar")
 
-def _symbol(sym) -> tuple[int, int]:
+
+def _symbol(sym) -> tuple[str, int]:
     kind, mode = sym
-    if isinstance(kind, str):
-        if kind not in _KIND_NAMES:
-            raise errors.UnsupportedSymbol(
-                f"cannot rewrite {kind!r}; only theta/tbar words are supported"
-            )
-        kind = _KIND_NAMES[kind]
-    elif kind not in (THETA, TBAR):
-        raise errors.UnsupportedSymbol(f"unknown generator kind {kind!r}")
+    if kind not in _KINDS:
+        raise errors.UnsupportedSymbol(
+            f"cannot rewrite {kind!r}; only theta/tbar words are supported"
+        )
     return kind, mode
 
 
-def _swap_exponent(left: tuple[int, int], right: tuple[int, int]) -> int:
+def _swap_exponent(left: tuple[str, int], right: tuple[str, int]) -> int:
     """Exponent e with (left right) = q**e (right left), left/right = (kind, mode)."""
     ka, i = left
     kb, j = right
     if i == j:
         if ka == kb:
             return 0
-        return 1 if ka == TBAR else -1
-    same_kind = ka == kb
-    return _eps(i, j) if same_kind else -_eps(i, j)
+        return 1 if ka == "tbar" else -1
+    return _eps(i, j) if ka == kb else -_eps(i, j)
+
+
+@lru_cache(maxsize=None)
+def _phase_table(modes: int) -> tuple[tuple[int, ...], ...]:
+    """Row b, column a: the swap exponent of generator b moving left past a > b."""
+    syms = [PGAlgebra._sym_at(idx) for idx in range(2 * modes)]
+    return tuple(
+        tuple(_swap_exponent(sa, sb) if a > b else 0 for a, sa in enumerate(syms))
+        for b, sb in enumerate(syms)
+    )
 
 
 class PGAlgebra:
@@ -246,7 +253,7 @@ class PGAlgebra:
 
     Exponent tuples are flattened as (n_1, m_1, n_2, m_2, ...) with n_i the
     theta_i power and m_i the tbar_i power; the flattened index order is the
-    canonical symbol order.
+    canonical symbol order.  Only this class encodes and decodes that layout.
     """
 
     def __init__(self, ctx: CycloContext, modes: int):
@@ -254,14 +261,24 @@ class PGAlgebra:
         self.modes = modes
         self.width = 2 * modes
         self._zero_exps = (0,) * self.width
+        self._phases = _phase_table(modes)
 
-    def _index(self, kind: int, mode: int) -> int:
+    def _index(self, sym) -> int:
+        kind, mode = _symbol(sym)
         if not 1 <= mode <= self.modes:
             raise ValueError(f"mode {mode} out of range 1..{self.modes}")
-        return 2 * (mode - 1) + kind
+        return 2 * (mode - 1) + _KINDS.index(kind)
 
-    def _sym_at(self, idx: int) -> tuple[int, int]:
-        return idx % 2, idx // 2 + 1
+    @staticmethod
+    def _sym_at(idx: int) -> tuple[str, int]:
+        return _KINDS[idx % 2], idx // 2 + 1
+
+    def exponents(self, powers: dict) -> tuple[int, ...]:
+        """Flat exponent tuple of powers, which maps (kind, mode) -> exponent."""
+        exps = [0] * self.width
+        for sym, e in powers.items():
+            exps[self._index(sym)] += e
+        return tuple(exps)
 
     # -- constructors --------------------------------------------------------
 
@@ -273,64 +290,51 @@ class PGAlgebra:
 
     def monomial(self, powers: dict, coeff=1) -> "PGPolynomial":
         """powers maps (kind, mode) -> exponent, e.g. {("theta", 2): 1}."""
-        exps = [0] * self.width
-        for sym, e in powers.items():
-            kind, mode = _symbol(sym)
-            exps[self._index(kind, mode)] += e
+        exps = self.exponents(powers)
         if any(e > self.ctx.p for e in exps):
             return self.zero()
         coeff = self.ctx.lift(coeff)
         if not coeff:
             return self.zero()
-        return PGPolynomial(self, {tuple(exps): coeff})
+        return PGPolynomial(self, {exps: coeff})
 
     def theta(self, mode: int) -> "PGPolynomial":
-        return self.monomial({(THETA, mode): 1})
+        return self.monomial({("theta", mode): 1})
 
     def tbar(self, mode: int) -> "PGPolynomial":
-        return self.monomial({(TBAR, mode): 1})
+        return self.monomial({("tbar", mode): 1})
 
     # -- rewriting -------------------------------------------------------------
 
     def normal_order(self, word) -> "PGPolynomial":
-        """Canonically order a word of (kind, mode) symbols, collecting phases.
+        """The ordered product of a word of (kind, mode) generators.
 
-        The result is a single monomial (possibly zero) times a power of q.
+        The generators are multiplied in one at a time through the phase
+        table of _mono_mul, and q is raised to the summed phase once.  The
+        result is a single monomial (possibly zero) times a power of q.
         """
-        syms = [_symbol(s) for s in word]
-        keys = [(mode, kind) for kind, mode in syms]
-        phase = 0
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(syms) - 1):
-                if keys[k] > keys[k + 1]:
-                    phase += _swap_exponent(syms[k], syms[k + 1])
-                    syms[k], syms[k + 1] = syms[k + 1], syms[k]
-                    keys[k], keys[k + 1] = keys[k + 1], keys[k]
-                    changed = True
-        exps = [0] * self.width
-        for kind, mode in syms:
-            exps[self._index(kind, mode)] += 1
-        if any(e > self.ctx.p for e in exps):
-            return self.zero()
-        return PGPolynomial(self, {tuple(exps): self.ctx.q_power(phase)})
+        gens = [self.exponents({sym: 1}) for sym in word]
+        exps, phase = self._zero_exps, 0
+        for gen in gens:
+            got = self._mono_mul(exps, gen)
+            if got is None:
+                return self.zero()
+            step, exps = got
+            phase += step
+        return PGPolynomial(self, {exps: self.ctx.q_power(phase)})
 
     def _mono_mul(self, a: tuple[int, ...], b: tuple[int, ...]):
-        """Product of canonical monomials: (phase exponent, exps) or None."""
-        phase = 0
-        for sb in range(self.width):
-            eb = b[sb]
-            if not eb:
-                continue
-            sym_b = self._sym_at(sb)
-            for sa in range(sb + 1, self.width):
-                ea = a[sa]
-                if ea:
-                    phase += ea * eb * _swap_exponent(self._sym_at(sa), sym_b)
+        """Product of canonical monomials: (phase exponent, exps) or None.
+
+        Each generator of b moves left past every later-ordered generator of a.
+        """
         exps = tuple(x + y for x, y in zip(a, b))
-        if any(e > self.ctx.p for e in exps):
+        if max(exps) > self.ctx.p:
             return None
+        phase = 0
+        for eb, row in zip(b, self._phases):
+            if eb:
+                phase += eb * sum(map(mul, a, row))
         return phase, exps
 
 
@@ -404,11 +408,7 @@ class PGPolynomial:
     # -- structure ---------------------------------------------------------------
 
     def coefficient(self, powers: dict) -> CycloElement:
-        exps = [0] * self.algebra.width
-        for sym, e in powers.items():
-            kind, mode = _symbol(sym)
-            exps[self.algebra._index(kind, mode)] = e
-        return self.terms.get(tuple(exps), self.algebra.ctx.zero)
+        return self.terms.get(self.algebra.exponents(powers), self.algebra.ctx.zero)
 
     def constant(self) -> CycloElement:
         return self.terms.get(self.algebra._zero_exps, self.algebra.ctx.zero)
@@ -434,9 +434,8 @@ class PGPolynomial:
             name = []
             for idx, power in enumerate(e):
                 if power:
-                    kind, mode = idx % 2, idx // 2 + 1
-                    base = "th" if kind == THETA else "tb"
-                    name.append(f"{base}{mode}^{power}")
+                    kind, mode = self.algebra._sym_at(idx)
+                    name.append(f"{kind}{mode}^{power}")
             bits.append(f"{c!r}*{'.'.join(name) if name else '1'}")
         return "PGPolynomial(" + " + ".join(bits) + ")"
 
@@ -447,23 +446,19 @@ class PGPolynomial:
 
 def word_matrix(rep: MultiModeRep, word) -> OpMatrix:
     """Ordered product of generator matrices for a theta/tbar word."""
-    names = {THETA: "theta", TBAR: "tbar"}
     acc = OpMatrix.identity(rep.ctx, rep.dim)
     for sym in word:
-        kind, mode = _symbol(sym)
-        acc = acc @ rep.generator(names[kind], mode)
+        acc = acc @ rep.generator(*_symbol(sym))
     return acc
 
 
 def poly_matrix(rep: MultiModeRep, poly: PGPolynomial) -> OpMatrix:
     """Matrix of a canonical polynomial under the tensor representation."""
-    acc = OpMatrix.zeros(rep.ctx, rep.dim)
+    acc = OpMatrix(rep.ctx, rep.dim)
     for exps, coeff in poly.terms.items():
         mat = OpMatrix.identity(rep.ctx, rep.dim)
         for idx, power in enumerate(exps):
             if power:
-                kind, mode = idx % 2, idx // 2 + 1
-                gen = rep.theta_ops[mode - 1] if kind == THETA else rep.tbar_ops[mode - 1]
-                mat = mat @ gen**power
+                mat = mat @ rep.generator(*poly.algebra._sym_at(idx)) ** power
         acc = acc + mat.scale(coeff)
     return acc

@@ -28,10 +28,6 @@ class OpMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zeros(cls, ctx, dim):
-        return cls(ctx, dim)
-
-    @classmethod
     def identity(cls, ctx, dim):
         one = ctx.one
         return cls(ctx, dim, {(i, i): one for i in range(dim)})

@@ -65,6 +65,30 @@ def test_potts_integral_long_chain(capsys):
     assert '"integral": "12157665459056928802"' in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--sites", "40", "--exact"],
+        ["--sites", "24"],
+    ],
+    ids=["exact-40", "float-24"],
+)
+def test_potts_all_omits_brute_over_its_cap(capsys, argv):
+    # 2**40 and 2**24 spin configurations exceed the brute-force cap of 10**7
+    code, out = run(capsys, "potts", "--p", "1", "--x", "2", *argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert "brute" not in results
+    assert results["agreement"] is True
+    if "--exact" in argv:
+        assert results["closed"] == results["transfer"] == results["integral"]
+        assert results["closed"] == "12157665459056928802"
+    else:
+        assert list(results) == ["closed", "transfer", "agreement"]
+    assert main(["potts", "--p", "1", "--x", "2", "--method", "brute", *argv]) == 2
+    capsys.readouterr()
+
+
 def test_potts_one_site_exit_2(capsys):
     code = main(["potts", "--p", "1", "--sites", "1", "--x", "2"])
     captured = capsys.readouterr()

@@ -129,8 +129,9 @@ def test_normal_order_same_symbol_is_degenerate():
 
 def test_normal_order_rejects_derivatives():
     alg = PGAlgebra(make_context(1), 1)
-    with pytest.raises(errors.UnsupportedSymbol):
-        alg.normal_order([("partial", 1)])
+    for sym in [("partial", 1), (0, 1)]:
+        with pytest.raises(errors.UnsupportedSymbol):
+            alg.normal_order([sym])
 
 
 @pytest.mark.parametrize("p,modes", [(1, 2), (2, 2)])
@@ -145,12 +146,13 @@ def test_word_agreement_exhaustive(p, modes):
             assert poly_matrix(rep, ordered) == word_matrix(rep, word), word
 
 
-def test_word_agreement_random_p3():
-    ctx = make_context(3)
-    rep = build_multimode(ctx, 2)
-    alg = PGAlgebra(ctx, 2)
+@pytest.mark.parametrize("p,modes", [(3, 2), (1, 3)])
+def test_word_agreement_random(p, modes):
+    ctx = make_context(p)
+    rep = build_multimode(ctx, modes)
+    alg = PGAlgebra(ctx, modes)
     rng = random.Random(7)
-    syms = symbols(2)
+    syms = symbols(modes)
     for _ in range(25):
         word = [rng.choice(syms) for _ in range(rng.randint(1, 6))]
         ordered = alg.normal_order(word)
