@@ -56,18 +56,29 @@ from .potts import (
     z_paragrassmann,
     z_transfer,
 )
-from .dynamics import (
-    PGHamiltonian,
-    build_hamiltonian,
-    coherent_state_check,
-    compose_steps_via_integral,
-    discretized_propagator,
-    exact_propagator,
-    hermiticity_check,
-    resolution_of_identity,
-    step_kernel,
-    step_phases,
-)
 from .qgroup import QGroupRep, build_glq2, build_slq2, check_glq2_relations
 
 __version__ = "0.1.0"
+
+# dynamics is the only module that needs numpy, so it loads on first use
+_DYNAMICS_NAMES = frozenset({
+    "PGHamiltonian",
+    "build_hamiltonian",
+    "coherent_state_check",
+    "compose_steps_via_integral",
+    "discretized_propagator",
+    "exact_propagator",
+    "hermiticity_check",
+    "resolution_of_identity",
+    "step_kernel",
+    "step_phases",
+})
+
+
+def __getattr__(name):
+    if name == "dynamics" or name in _DYNAMICS_NAMES:
+        import importlib
+
+        dynamics = importlib.import_module(".dynamics", __name__)
+        return dynamics if name == "dynamics" else getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -21,13 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import errors
-from .dynamics import (
-    build_hamiltonian,
-    discretized_propagator,
-    exact_propagator,
-    hermiticity_check,
-    step_kernel,
-)
 from .integration import (
     derivative_integral_checks,
     expq_addition_check,
@@ -211,6 +204,15 @@ def _cmd_repr(args) -> int:
 
 
 def _cmd_heat(args) -> int:
+    # the only float layer; importing it here keeps numpy out of every other subcommand
+    from .dynamics import (
+        build_hamiltonian,
+        discretized_propagator,
+        exact_propagator,
+        hermiticity_check,
+        step_kernel,
+    )
+
     if not all(math.isfinite(v) for v in args.h):
         raise ValueError(f"--h values must be finite, got {args.h}")
     if not math.isfinite(args.time):

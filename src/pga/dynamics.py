@@ -56,8 +56,8 @@ def build_hamiltonian(ctx: CycloContext, h) -> PGHamiltonian:
     if len(h) != ctx.p + 1:
         raise errors.WrongLength(f"need {ctx.p + 1} coefficients h_0..h_p")
     rep = build_rep(ctx)
-    theta = rep.theta.embed()
-    partial = rep.partial.embed()
+    theta = np.array([[v.embed() for v in row] for row in rep.theta.to_dense()])
+    partial = np.array([[v.embed() for v in row] for row in rep.partial.to_dense()])
     dim = ctx.p + 1
     mat = np.zeros((dim, dim), dtype=complex)
     for n, hn in enumerate(h):

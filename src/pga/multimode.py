@@ -59,6 +59,8 @@ class MultiModeRep:
         return (self.ctx.p + 1) ** (2 * self.modes)
 
     def generator(self, kind: str, i: int) -> OpMatrix:
+        if not 1 <= i <= self.modes:
+            raise ValueError(f"mode {i} out of range 1..{self.modes}")
         return {
             "theta": self.theta_ops,
             "tbar": self.tbar_ops,

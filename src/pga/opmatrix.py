@@ -8,8 +8,6 @@ and entrywise.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .qarith import CycloContext, CycloElement
 
 
@@ -136,12 +134,6 @@ class OpMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
-
-    def embed(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (r, c), v in self.entries.items():
-            out[r, c] = v.embed()
-        return out
 
     def to_json(self) -> dict:
         return {

@@ -144,11 +144,16 @@ class CycloContext:
         self.one = CycloElement(self, rows[0])
         self.q = self.q_power(1)
         # factorial tables filled up front so instances never mutate later
+        nums = [self.q_number(k) for k in range(1, p + 2)]
         fact = [self.one]
-        for k in range(1, p + 2):
-            fact.append(fact[-1] * self.q_number(k))
+        for n in nums:
+            fact.append(fact[-1] * n)
         self._fact = tuple(fact)
-        self._inv_fact = tuple(f.inverse() for f in fact[: p + 1])
+        # one field inverse, then 1/(k-1)_q! = (k)_q * 1/(k)_q! for k = p..1
+        inv = [fact[p].inverse()]
+        for n in reversed(nums[:p]):
+            inv.append(n * inv[-1])
+        self._inv_fact = tuple(reversed(inv))
 
     # -- designated powers ---------------------------------------------------
 

@@ -134,6 +134,18 @@ def test_normal_order_rejects_derivatives():
             alg.normal_order([sym])
 
 
+@pytest.mark.parametrize("mode", [0, 3])
+def test_out_of_range_mode_rejected_by_both_routes(mode):
+    ctx = make_context(2)
+    rep = build_multimode(ctx, 2)
+    alg = PGAlgebra(ctx, 2)
+    word = [("theta", mode)]
+    with pytest.raises(ValueError, match=f"mode {mode} out of range 1..2"):
+        alg.normal_order(word)
+    with pytest.raises(ValueError, match=f"mode {mode} out of range 1..2"):
+        word_matrix(rep, word)
+
+
 @pytest.mark.parametrize("p,modes", [(1, 2), (2, 2)])
 def test_word_agreement_exhaustive(p, modes):
     ctx = make_context(p)

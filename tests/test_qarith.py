@@ -92,6 +92,18 @@ def test_q_factorial_examples():
     assert make_context(3).q_factorial(4) == 0
 
 
+@pytest.mark.parametrize(
+    "p,root_index", [(p, 1) for p in range(1, 11)] + [(4, 2), (6, 5)]
+)
+def test_inv_q_factorial_table(p, root_index):
+    ctx = make_context(p, root_index)
+    for n in range(p + 1):
+        assert ctx.inv_q_factorial(n) * ctx.q_factorial(n) == 1, n
+    for n in (p + 1, -1):
+        with pytest.raises(ValueError):
+            ctx.inv_q_factorial(n)
+
+
 @pytest.mark.parametrize("p", range(1, 7))
 def test_q_number_against_closed_form(p):
     # independent route: (1 - q**n) / (1 - q) evaluated numerically
