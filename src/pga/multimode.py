@@ -263,6 +263,10 @@ class PGAlgebra:
         self.modes = modes
         self.width = 2 * modes
         self._zero_exps = (0,) * self.width
+        # the exponent tuple of each lone generator, by flat index
+        self._units = tuple(
+            tuple(int(j == i) for j in range(self.width)) for i in range(self.width)
+        )
         self._phases = _phase_table(modes)
 
     def _index(self, sym) -> int:
@@ -315,7 +319,7 @@ class PGAlgebra:
         table of _mono_mul, and q is raised to the summed phase once.  The
         result is a single monomial (possibly zero) times a power of q.
         """
-        gens = [self.exponents({sym: 1}) for sym in word]
+        gens = [self._units[self._index(sym)] for sym in word]
         exps, phase = self._zero_exps, 0
         for gen in gens:
             got = self._mono_mul(exps, gen)

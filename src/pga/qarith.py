@@ -11,6 +11,11 @@ Elements are rational coordinate vectors in the power basis
 {1, w, ..., w**(deg-1)}, reduced modulo the cyclotomic polynomial of order
 4*(p+1).  Reduction is canonical: two elements are equal iff their
 coordinates are equal, and every nonzero element is invertible.
+
+Most scalars the paper meets are scaled roots of unity: rationals, and the
+phases +-q**k of theta, tbar, g and every reordering rule.  Those are held
+as a tag (lam, k) for lam*w**k, which multiplies, inverts and conjugates in
+one rational operation; the coordinate vector is built only when read.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from math import gcd
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_ONE = (1, 0)  # the tag of 1
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +144,11 @@ class CycloContext:
                 vec = [vec[i] - lead * mod[i] for i in range(d)]
             rows.append(tuple(vec))
         self._pow = rows
+        self._half = self.order // 2
         self._root_c = cmath.exp(2j * cmath.pi / self.order)
 
-        self.zero = CycloElement(self, (_F0,) * d)
-        self.one = CycloElement(self, rows[0])
+        self.zero = _tagged(self, 0, 0)
+        self.one = _tagged(self, 1, 0)
         self.q = self.q_power(1)
         # factorial tables filled up front so instances never mutate later
         nums = [self.q_number(k) for k in range(1, p + 2)]
@@ -159,7 +166,7 @@ class CycloContext:
 
     def omega_power(self, j: int) -> "CycloElement":
         """w**j as a field element (j arbitrary, reduced mod the order)."""
-        return CycloElement(self, self._pow[j % self.order])
+        return _tagged(self, 1, j)
 
     def q_power(self, k: int) -> "CycloElement":
         return self.omega_power(4 * self.root_index * k)
@@ -173,9 +180,7 @@ class CycloContext:
         return self.omega_power(self.root_index * k)
 
     def from_rational(self, r) -> "CycloElement":
-        vec = [_F0] * self.degree
-        vec[0] = Fraction(r)
-        return CycloElement(self, vec)
+        return _tagged(self, r if type(r) is int else Fraction(r), 0)
 
     def lift(self, value) -> "CycloElement":
         """value as an element of this field; ints and Fractions become constants.
@@ -242,17 +247,40 @@ def make_context(p: int, root_index: int = 1) -> CycloContext:
 
 
 class CycloElement:
-    """An element of Q(w), stored as reduced rational coordinates.
+    """An element of Q(w): a tag lam*w**k, or reduced rational coordinates.
+
+    Every designated scalar (0, 1, rationals, powers of w and so of q) is a
+    tag (lam, k) with lam an exact rational (an int when integral) and k in
+    [0, order/2).  Since w**(order/2) = -1, folding k into that range and
+    flipping lam's sign makes the tag unique: tags are equal iff their
+    tuples are, and a tag is rational iff k == 0.  Products, inverses and
+    conjugates of tags, and sums of tags with the same k, stay tags at the
+    cost of one rational operation; an arithmetic result with at most one
+    nonzero coordinate becomes a tag too.  Anything else is a general
+    element holding its coordinate vector, as the constructor builds it.
+    ``coeffs`` is the coordinate tuple in either form; a tag builds it on
+    first read and keeps it.  Equality and hashing agree across the forms.
 
     Supports +, -, *, /, integer powers, exact equality and hashing.
     Mixed arithmetic with int and Fraction lifts them to constants.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "_tag", "_coeffs")
 
     def __init__(self, ctx: CycloContext, coeffs):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self._tag = None
+        self._coeffs = tuple(coeffs)
+
+    @property
+    def coeffs(self) -> tuple:
+        cs = self._coeffs
+        if cs is None:
+            lam, k = self._tag
+            row = self.ctx._pow[k]
+            cs = row if lam == 1 else tuple(lam * x if x else _F0 for x in row)
+            self._coeffs = cs
+        return cs
 
     def _lift(self, other):
         try:
@@ -266,7 +294,10 @@ class CycloElement:
         b = self._lift(other)
         if b is NotImplemented:
             return b
-        return CycloElement(self.ctx, (x + y for x, y in zip(self.coeffs, b.coeffs)))
+        ta, tb = self._tag, b._tag
+        if ta is not None and tb is not None and ta[1] == tb[1]:
+            return _tagged(self.ctx, ta[0] + tb[0], ta[1])
+        return _from_coords(self.ctx, [x + y for x, y in zip(self.coeffs, b.coeffs)])
 
     __radd__ = __add__
 
@@ -274,7 +305,10 @@ class CycloElement:
         b = self._lift(other)
         if b is NotImplemented:
             return b
-        return CycloElement(self.ctx, (x - y for x, y in zip(self.coeffs, b.coeffs)))
+        ta, tb = self._tag, b._tag
+        if ta is not None and tb is not None and ta[1] == tb[1]:
+            return _tagged(self.ctx, ta[0] - tb[0], ta[1])
+        return _from_coords(self.ctx, [x - y for x, y in zip(self.coeffs, b.coeffs)])
 
     def __rsub__(self, other):
         b = self._lift(other)
@@ -283,24 +317,43 @@ class CycloElement:
         return b - self
 
     def __neg__(self):
+        t = self._tag
+        if t is not None:
+            return _tagged(self.ctx, -t[0], t[1])
         return CycloElement(self.ctx, (-x for x in self.coeffs))
 
-    def _scale(self, c: Fraction):
+    def _scale(self, c):
         if not c:
             return self.ctx.zero
-        return CycloElement(self.ctx, (c * x for x in self.coeffs))
+        if c == 1:
+            return self
+        return CycloElement(self.ctx, (c * x if x else _F0 for x in self.coeffs))
 
-    def _is_constant(self) -> bool:
-        return not any(self.coeffs[1:])
+    def _constant(self):
+        """The rational value of a constant element, None for any other."""
+        t = self._tag
+        if t is not None:
+            return t[0] if t[1] == 0 else None
+        cs = self._coeffs
+        return None if any(cs[1:]) else cs[0]
 
     def __mul__(self, other):
         b = self._lift(other)
         if b is NotImplemented:
             return b
-        if b._is_constant():
-            return self._scale(b.coeffs[0])
-        if self._is_constant():
-            return b._scale(self.coeffs[0])
+        ta, tb = self._tag, b._tag
+        if ta is not None and tb is not None:
+            if tb == _ONE:
+                return self
+            if ta == _ONE:
+                return b
+            return _tagged(self.ctx, ta[0] * tb[0], ta[1] + tb[1])
+        c = b._constant()
+        if c is not None:
+            return self._scale(c)
+        c = self._constant()
+        if c is not None:
+            return b._scale(c)
         d = self.ctx.degree
         conv = [_F0] * (2 * d - 1)
         for i, ai in enumerate(self.coeffs):
@@ -316,7 +369,7 @@ class CycloElement:
                 row = pw[k]
                 for i in range(d):
                     out[i] += ck * row[i]
-        return CycloElement(self.ctx, out)
+        return _from_coords(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -324,10 +377,11 @@ class CycloElement:
         if not self:
             raise ZeroDivisionError("inverse of zero")
         ctx = self.ctx
-        if self._is_constant():
-            return ctx.from_rational(1 / self.coeffs[0])
+        t = self._tag
+        if t is not None:
+            return _tagged(ctx, _F1 / t[0], -t[1])
         m = [Fraction(c) for c in ctx.modulus]
-        a = _ptrim(list(self.coeffs))
+        a = _ptrim(list(self._coeffs))
         r0, r1 = m, a
         s0, s1 = [], [_F1]
         while len(r1) - 1 > 0:
@@ -339,7 +393,7 @@ class CycloElement:
         c = r1[0]
         inv = [x / c for x in s1]
         inv += [_F0] * (ctx.degree - len(inv))
-        return CycloElement(ctx, inv[: ctx.degree])
+        return _from_coords(ctx, inv[: ctx.degree])
 
     def __truediv__(self, other):
         b = self._lift(other)
@@ -370,14 +424,17 @@ class CycloElement:
     def conjugate(self) -> "CycloElement":
         """Image under w -> w**(-1) (complex conjugation of the embedding)."""
         ctx = self.ctx
+        t = self._tag
+        if t is not None:
+            return _tagged(ctx, t[0], -t[1])
         d = ctx.degree
         out = [_F0] * d
-        for k, ck in enumerate(self.coeffs):
+        for k, ck in enumerate(self._coeffs):
             if ck:
                 row = ctx._pow[(-k) % ctx.order]
                 for i in range(d):
                     out[i] += ck * row[i]
-        return CycloElement(ctx, out)
+        return _from_coords(ctx, out)
 
     def embed(self) -> complex:
         """Evaluate at the principal complex root w = exp(2*pi*i/order)."""
@@ -387,15 +444,19 @@ class CycloElement:
         return acc
 
     def is_rational(self) -> bool:
-        return self._is_constant()
+        return self._constant() is not None
 
     def to_rational(self) -> Fraction:
-        if not self._is_constant():
+        c = self._constant()
+        if c is None:
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(c)
 
     def __bool__(self):
-        return any(self.coeffs)
+        t = self._tag
+        if t is not None:
+            return bool(t[0])
+        return any(self._coeffs)
 
     def __eq__(self, other):
         try:
@@ -404,12 +465,16 @@ class CycloElement:
             return NotImplemented
         except ValueError:
             return False  # elements of different fields are never equal
+        ta, tb = self._tag, b._tag
+        if ta is not None and tb is not None:
+            return ta == tb
         return self.coeffs == b.coeffs
 
     def __hash__(self):
         # a constant hashes like the rational it equals
-        if self._is_constant():
-            return hash(self.coeffs[0])
+        c = self._constant()
+        if c is not None:
+            return hash(c)
         return hash((self.ctx.order, self.coeffs))
 
     def to_json(self) -> dict:
@@ -436,6 +501,38 @@ class CycloElement:
             else:
                 terms.append(f"{c}*w^{k}")
         return "<" + (" + ".join(terms) if terms else "0") + ">"
+
+
+def _from_coords(ctx: CycloContext, vec: list) -> CycloElement:
+    """vec as an element: a tag when it has at most one nonzero coordinate."""
+    hit = None
+    for i, c in enumerate(vec):
+        if c:
+            if hit is not None:
+                return CycloElement(ctx, vec)
+            hit = i
+    if hit is None:
+        return ctx.zero
+    el = _tagged(ctx, vec[hit], hit)
+    el._coeffs = tuple(vec)
+    return el
+
+
+def _tagged(ctx: CycloContext, lam, k: int) -> CycloElement:
+    """The tag lam*w**k in canonical form: k in [0, order/2), lam int if integral."""
+    if not lam:
+        lam = k = 0
+    elif type(lam) is Fraction and lam.denominator == 1:
+        lam = lam.numerator
+    k %= ctx.order
+    if k >= ctx._half:
+        k -= ctx._half
+        lam = -lam
+    el = object.__new__(CycloElement)
+    el.ctx = ctx
+    el._tag = (lam, k)
+    el._coeffs = None
+    return el
 
 
 def complex_to_json(z: complex) -> dict:

@@ -211,3 +211,13 @@ def test_readme_commands_match_golden_output(capsys, command, key):
     code, out = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == golden[key or command]
+
+
+GOLDEN_DIGESTS = json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_DIGESTS))
+def test_every_golden_argv_matches(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[argv]

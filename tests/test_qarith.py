@@ -4,7 +4,7 @@ import cmath
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pga.qarith import CycloElement, cyclotomic_polynomial, make_context
@@ -238,3 +238,71 @@ def test_elements_of_different_fields_are_unequal():
     assert not one1 == make_context(3).q
     with pytest.raises(ValueError):
         one1 + one3
+
+
+# ---------------------------------------------------------------------------
+# the two representations: tags lam*w**k and coordinate vectors
+
+# p = 1..10 at the principal root, and non-principal roots
+FIELDS = [(p, 1) for p in range(1, 11)] + [(4, 2), (6, 5), (10, 3)]
+
+
+def operands(ctx):
+    """A scaled power of w (a tag) or a coordinate vector (a general element)."""
+    tags = st.builds(
+        lambda c, k: c * ctx.omega_power(k),
+        small_fractions,
+        st.integers(-ctx.order, 2 * ctx.order),
+    )
+    vectors = st.lists(
+        small_fractions, min_size=ctx.degree, max_size=ctx.degree
+    ).map(lambda cs: CycloElement(ctx, cs))
+    return tags | vectors
+
+
+def as_vector(x):
+    return CycloElement(x.ctx, x.coeffs)
+
+
+@pytest.mark.parametrize("p,root_index", FIELDS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_tag_and_vector_forms_agree(p, root_index, data):
+    ctx = make_context(p, root_index)
+    a = data.draw(operands(ctx))
+    # a rational multiple of a shares its form and, for a tag, its power of w
+    b = data.draw(operands(ctx) | small_fractions.map(lambda c: c * a))
+    va, vb = as_vector(a), as_vector(b)
+    assert a == va and hash(a) == hash(va)
+    results = [
+        (a + b, va + vb),
+        (a - b, va - vb),
+        (a * b, va * vb),
+        (a.conjugate(), va.conjugate()),
+    ]
+    if a:
+        results.append((a.inverse(), va.inverse()))
+    for got, want in results:
+        assert got == want
+        assert hash(got) == hash(want) == hash(as_vector(got))
+    # the complex embedding is a route independent of both forms
+    assert abs((a * b).embed() - a.embed() * b.embed()) < 1e-9
+    assert abs(a.conjugate().embed() - a.embed().conjugate()) < 1e-9
+
+
+@pytest.mark.parametrize("p,root_index", FIELDS)
+def test_half_turn_is_minus_one(p, root_index):
+    ctx = make_context(p, root_index)
+    half = ctx.order // 2
+    minus_one = ctx.omega_power(half)
+    assert minus_one == -1
+    assert minus_one.is_rational() and minus_one.to_rational() == -1
+    assert hash(minus_one) == hash(Fraction(-1))
+    for k in range(ctx.order):
+        w_k = ctx.omega_power(k)
+        assert ctx.omega_power(k + half) == -w_k
+        assert abs(w_k.embed() - cmath.exp(2j * cmath.pi * k / ctx.order)) < 1e-12
+        assert w_k.is_rational() == (k % half == 0)
+    assert ctx.q_power(p + 1) == ctx.one
+    assert ctx.zero == CycloElement(ctx, [0] * ctx.degree)
+    assert not ctx.from_rational(0)
